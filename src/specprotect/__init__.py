@@ -2,9 +2,10 @@
 
 Given a real symmetric A and a positive semi-definite B != 0, a real lam is
 *protected* when it stays in the resolvent set of A + tB for every real t.
-This package certifies protection (via the resolvent annihilation residual and
-its equivalent characterizations), enumerates all protected points, and
-constructs pairs realizing any prescribed finite protected set.
+This package certifies protection through one r x r compressed resolvent
+F(lam) = G^T (A - lam)^{-1} G, where B = G G^T (see ``protection``),
+enumerates all protected points, and constructs pairs realizing any
+prescribed finite protected set.
 """
 
 __version__ = "0.1.0"
@@ -26,21 +27,22 @@ from .linalg import (
     eigh,
     frobenius,
     gaps,
-    operator_norm,
-    psd_sqrt,
-    resolvent_apply,
+    gaps_between,
     resolvent_matrix,
 )
 from .protection import (
     DistanceBounds,
     FlowSample,
+    Pencil,
     ProtectedPoint,
     ProtectionReport,
     ProtectionVerdict,
     brute_force_unprotected,
+    compressed_resolvent,
     distance_bounds,
     is_protected,
     nilpotency_index,
+    pencil_roots,
     protected_set,
     protection_residual,
     pseudo_resolvent_defect,
@@ -51,8 +53,6 @@ from .protection import (
 from .realization import (
     PolePair,
     RealizedPair,
-    pencil_spectrum,
-    pencil_spectrum_log_scan,
     realize,
     realize_via_poles,
     solve_t,

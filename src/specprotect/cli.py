@@ -33,28 +33,22 @@ from .io import (
     write_matrix_file,
     write_report,
 )
-from .linalg import (
-    POLE_RTOL,
-    SymmetricMatrix,
-    dist_to_spectrum,
-    eigh,
-    ensure_psd,
-    frobenius,
-    gaps,
-)
+from .linalg import POLE_RTOL, SymmetricMatrix, dist_to_spectrum, frobenius, gaps
 from .protection import (
     DEFAULT_TOL,
+    Pencil,
     brute_force_unprotected,
     distance_bounds,
     is_protected,
     nilpotency_index,
+    pencil_roots,
     protected_set,
     pseudo_resolvent_defect,
     shifted_inverse_formula,
     spectral_flow,
     standard_t_grid,
 )
-from .realization import pencil_spectrum_log_scan, realize
+from .realization import realize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,20 +73,12 @@ def _load(path: str) -> tuple[SymmetricMatrix, str | None]:
         raise _ExitError(EXIT_BAD_MATRIX, f"{path}: {exc}") from exc
 
 
-def _check_perturbation(a: SymmetricMatrix, b: SymmetricMatrix) -> None:
-    if frobenius(b) <= 1e-12 * max(1.0, frobenius(a)):
-        raise _ExitError(
-            EXIT_ZERO_B,
-            "perturbation is zero: spec(A + tB) = spec(A) for all t; a "
-            "t-independent spectrum forces B = 0 or spec(A) covering all "
-            "reals, so there is nothing to analyze",
-        )
-    try:
-        ensure_psd(b)
-    except NotPSDError as exc:
-        raise _ExitError(
-            EXIT_BAD_MATRIX, f"perturbation not positive semi-definite: {exc}"
-        ) from exc
+def _load_pair(args) -> tuple[SymmetricMatrix, SymmetricMatrix]:
+    a, _ = _load(args.a_path)
+    b, _ = _load(args.b_path)
+    if a.n != b.n:
+        raise _ExitError(EXIT_USAGE, "A and B must have the same dimension")
+    return a, b
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -132,17 +118,12 @@ def _parse_t_grid(spec: str) -> np.ndarray:
 
 
 def cmd_analyze(args) -> int:
-    a, _ = _load(args.a_path)
-    b, _ = _load(args.b_path)
-    if a.n != b.n:
-        raise _ExitError(EXIT_USAGE, "A and B must have the same dimension")
-    _check_perturbation(a, b)
-    report = protected_set(a, b, tol=args.tol)
-    dec = eigh(a)
+    p = Pencil(*_load_pair(args))
+    report = protected_set(p, tol=args.tol)
     doc = analysis_report_doc(
         report,
-        dec.eigenvalues,
-        gaps(dec),
+        p.dec.eigenvalues,
+        gaps(p.dec),
         inputs={
             "a": {"path": args.a_path, "sha256": file_digest(args.a_path)},
             "b": {"path": args.b_path, "sha256": file_digest(args.b_path)},
@@ -157,15 +138,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_realize(args) -> int:
     points = _parse_floats(args.points, "--points")
-    if len(points) != len(set(points)):
-        raise _ExitError(EXIT_USAGE, "--points: entries must be distinct")
     weights = None
     if args.weights is not None:
         weights = _parse_floats(args.weights, "--weights")
-        if len(weights) != len(points) or any(w <= 0 for w in weights):
-            raise _ExitError(
-                EXIT_USAGE, "--weights: need one strictly positive weight per point"
-            )
     try:
         pair = realize(points, weights)
     except ValueError as exc:
@@ -174,7 +149,7 @@ def cmd_realize(args) -> int:
     write_matrix_file(args.out_b, pair.b, label="B")
     print(f"wrote {args.out_a} and {args.out_b}")
     if args.verify:
-        report = protected_set(pair.a, pair.b)
+        report = protected_set(Pencil(pair.a, pair.b))
         found = np.array([p.value for p in report.protected_points])
         scale = max(1.0, frobenius(pair.a))
         certified = 0
@@ -190,10 +165,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    a, _ = _load(args.a_path)
-    b, _ = _load(args.b_path)
-    if a.n != b.n:
-        raise _ExitError(EXIT_USAGE, "A and B must have the same dimension")
+    a, b = _load_pair(args)
     if not args.t_min < args.t_max:
         raise _ExitError(EXIT_USAGE, "--t-min must be smaller than --t-max")
     if args.t_steps < 2:
@@ -206,21 +178,16 @@ def cmd_flow(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    a, _ = _load(args.a_path)
-    b, _ = _load(args.b_path)
-    if a.n != b.n:
-        raise _ExitError(EXIT_USAGE, "A and B must have the same dimension")
-    _check_perturbation(a, b)
+    p = Pencil(*_load_pair(args))
     lam = args.lam
-    dec = eigh(a)
-    if dist_to_spectrum(dec, lam) <= POLE_RTOL * dec.source_scale:
+    if dist_to_spectrum(p.dec, lam) <= POLE_RTOL * p.dec.source_scale:
         raise _ExitError(
             EXIT_BAD_MATRIX, f"lambda {lam!r} lies on the spectrum of A"
         )
     tol = args.tol
     t_grid = _parse_t_grid(args.t_grid)
 
-    verdict = is_protected(a, b, lam, tol=tol, dec=dec)
+    verdict = is_protected(p, lam, tol=tol)
     expected = verdict.protected
 
     rows: list[tuple[str, str, bool]] = []
@@ -232,31 +199,30 @@ def cmd_verify(args) -> int:
         )
     )
 
-    nil = nilpotency_index(a, b, lam)
+    nil = nilpotency_index(p, lam)
     rows.append(("nilpotency_index", str(nil), (nil in (1, 2)) == expected))
 
     pseudo_pairs = [(1.0, 2.0), (0.5, -1.0), (-2.0, 3.0)]
-    pseudo = max(pseudo_resolvent_defect(a, b, lam, z, w) for z, w in pseudo_pairs)
-    eta = 1.0 / dist_to_spectrum(dec, lam)
-    pseudo_scale = max(1.0, (eta * (1.0 + eta * frobenius(b))) ** 2)
+    pseudo = max(pseudo_resolvent_defect(p, lam, z, w) for z, w in pseudo_pairs)
+    eta = 1.0 / dist_to_spectrum(p.dec, lam)
+    pseudo_scale = max(1.0, (eta * (1.0 + eta * frobenius(p.b))) ** 2)
     pseudo_ok = pseudo <= tol * pseudo_scale * 6.0
     rows.append(("pseudo_resolvent_defect", f"{pseudo:.6e}", pseudo_ok == expected))
 
     inverse_ok = True
     worst = 0.0
     for t in (1.0, -1.0, 10.0, -10.0, 1e3, -1e3):
-        _, defect = shifted_inverse_formula(a, b, lam, t)
+        _, defect = shifted_inverse_formula(p, lam, t)
         worst = max(worst, defect / (1.0 + abs(t)))
         if defect > tol * (1.0 + abs(t)) * pseudo_scale:
             inverse_ok = False
     rows.append(("inverse_formula_defect", f"{worst:.6e}", inverse_ok == expected))
 
     if expected:
-        shifted = SymmetricMatrix(a.mat - lam * np.eye(a.n))
         sample = t_grid[:: max(1, len(t_grid) // 16)]
         bounds_ok = True
         for t in sample:
-            db = distance_bounds(shifted, b, float(t), tol=tol)
+            db = distance_bounds(p, lam, float(t), tol=tol)
             slack = 1e-8 * (1.0 + abs(t))
             if db.actual + slack < db.lower:
                 bounds_ok = False
@@ -264,15 +230,12 @@ def cmd_verify(args) -> int:
                 bounds_ok = False
         rows.append(("distance_bounds", f"{len(sample)} t values", bounds_ok))
 
-    shifted = SymmetricMatrix(a.mat - lam * np.eye(a.n))
-    pencil_roots = pencil_spectrum_log_scan(shifted, b)
-    candidates = np.unique(np.concatenate([t_grid, -np.asarray(pencil_roots)]))
-    never_hit = brute_force_unprotected(a, b, [lam], candidates, hit_tol=1e-3)
+    roots = pencil_roots(p, lam)
+    candidates = np.unique(np.concatenate([t_grid, -np.asarray(roots)]))
+    never_hit = brute_force_unprotected(p.a, p.b, [lam], candidates, hit_tol=1e-3)
     hit = 0 not in never_hit
     rows.append(("flow_oracle_hit", str(hit), hit != expected))
-    rows.append(
-        ("pencil_roots", str(len(pencil_roots)), (len(pencil_roots) == 0) == expected)
-    )
+    rows.append(("pencil_roots", str(len(roots)), (len(roots) == 0) == expected))
 
     label = "protected" if expected else "not protected"
     print(f"lambda = {lam!r}: {label} (residual {verdict.residual:.6e})")

@@ -1,6 +1,7 @@
 """Scalar pole/weight functions f(lam) = sum_k w_k / (mu_k - lam).
 
-These are the diagonal resolvent matrix elements <y, (A - lam)^{-1} y>:
+These are traces tr G^T (A - lam)^{-1} G of compressed resolvents (for one
+column G = y, the diagonal resolvent element <y, (A - lam)^{-1} y>):
 non-negative weights, strictly increasing between consecutive poles, so each
 bounded gap carries at most one root.  Root isolation is plain bisection --
 monotonicity makes it unconditionally convergent.
@@ -9,7 +10,6 @@ monotonicity makes it unconditionally convergent.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -44,32 +44,25 @@ class HerglotzScalar:
     def derivative(self, lam: float) -> float:
         return float(np.sum(self.weights / (self.poles - lam) ** 2))
 
-    def gaps(self) -> list[SpectralGap]:
-        out = [SpectralGap(-math.inf, float(self.poles[0]))]
-        for lo, hi in zip(self.poles, self.poles[1:]):
-            out.append(SpectralGap(float(lo), float(hi)))
-        out.append(SpectralGap(float(self.poles[-1]), math.inf))
-        return out
-
 
 def herglotz_from(
-    d: SpectralDecomposition, y, cluster_tol: float | None = None
+    d: SpectralDecomposition, g, cluster_tol: float | None = None
 ) -> HerglotzScalar:
-    """Pole/weight form of <y, (A - lam)^{-1} y> from a decomposition of A.
+    """Pole/weight form of tr G^T (A - lam)^{-1} G from a decomposition of A.
 
-    Poles are the clustered eigenvalues; each weight is the squared norm of
-    the projection of y onto the corresponding (clustered) eigenspace.
+    ``g`` is an n x r matrix, or a vector for r = 1.  Poles are the clustered
+    eigenvalues; each weight is the squared Frobenius norm of the projection
+    of G onto the corresponding (clustered) eigenspace.
     """
-    y = np.asarray(y, dtype=float)
-    norm = float(np.linalg.norm(y))
-    if norm == 0.0:
-        raise ValueError("probe vector must be non-zero")
+    g = np.asarray(g, dtype=float).reshape(d.n, -1)
+    if not np.any(g):
+        raise ValueError("probe must be non-zero")
     if cluster_tol is None:
         cluster_tol = CLUSTER_RTOL * d.source_scale
-    coeffs = d.frame.T @ y
+    coeffs = d.frame.T @ g
     groups = cluster_points(d.eigenvalues, cluster_tol)
-    poles = np.array([float(np.mean(d.eigenvalues[g])) for g in groups])
-    weights = np.array([float(np.sum(coeffs[g] ** 2)) for g in groups])
+    poles = np.array([float(np.mean(d.eigenvalues[idx])) for idx in groups])
+    weights = np.array([float(np.sum(coeffs[idx] ** 2)) for idx in groups])
     return HerglotzScalar(poles, weights)
 
 

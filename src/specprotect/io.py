@@ -114,7 +114,6 @@ def analysis_report_doc(
         "tool_version": version,
         "inputs": inputs,
         "tolerance": report.tol,
-        "probe_index": report.probe_index,
         "spectrum_a": [float(x) for x in spectrum],
         "gaps": [_gap_to_json(g) for g in gap_list],
         "protected_points": [

@@ -1,10 +1,10 @@
 """Dense real symmetric linear algebra.
 
 Everything the upper layers consume lives here: a validated symmetric matrix
-type, a deterministic Jacobi eigensolver, shifted resolvent solves, PSD square
-roots, norms, and spectral-gap extraction.  All tolerances are relative to
-``source_scale = max(1, ||.||_F)``; absolute tolerances are never applied to
-user data.
+type, a deterministic Jacobi eigensolver, the resolvent in the eigenbasis, the
+PSD check with its low-rank factor, norms, and spectral-gap extraction.  All
+tolerances are relative to ``source_scale = max(1, ||.||_F)``; absolute
+tolerances are never applied to user data.
 """
 
 from __future__ import annotations
@@ -104,10 +104,6 @@ def frobenius(m: SymmetricMatrix) -> float:
     return float(np.linalg.norm(m.mat))
 
 
-def source_scale_of(m: SymmetricMatrix) -> float:
-    return max(1.0, frobenius(m))
-
-
 def eigh(a: SymmetricMatrix) -> SpectralDecomposition:
     """Eigendecomposition by cyclic Jacobi rotations.
 
@@ -185,56 +181,36 @@ def dist_to_spectrum(d: SpectralDecomposition, lam: float) -> float:
     return float(np.min(np.abs(d.eigenvalues - lam)))
 
 
-def operator_norm(m: SymmetricMatrix) -> float:
-    d = eigh(m)
-    return float(np.max(np.abs(d.eigenvalues)))
+def resolvent_diagonal(d: SpectralDecomposition, lam: float) -> np.ndarray:
+    """The eigenvalues 1 / (mu_k - lam) of (A - lam)^{-1}, aligned with the frame.
 
-
-def _pole_check(d: SpectralDecomposition, lam: float) -> None:
+    Raises PoleError when lam is within 1e-12 * source_scale of an eigenvalue.
+    """
     idx = int(np.argmin(np.abs(d.eigenvalues - lam)))
     if abs(d.eigenvalues[idx] - lam) <= POLE_RTOL * d.source_scale:
         raise PoleError(lam, float(d.eigenvalues[idx]))
-
-
-def resolvent_apply(d: SpectralDecomposition, lam: float, y) -> np.ndarray:
-    """Solve (A - lam) x = y in the eigenbasis."""
-    _pole_check(d, lam)
-    y = np.asarray(y, dtype=float)
-    coeffs = d.frame.T @ y
-    return d.frame @ (coeffs / (d.eigenvalues - lam))
+    return 1.0 / (d.eigenvalues - lam)
 
 
 def resolvent_matrix(d: SpectralDecomposition, lam: float) -> np.ndarray:
     """The full matrix (A - lam)^{-1}."""
-    _pole_check(d, lam)
-    inv = 1.0 / (d.eigenvalues - lam)
-    return (d.frame * inv) @ d.frame.T
+    return (d.frame * resolvent_diagonal(d, lam)) @ d.frame.T
 
 
-def psd_sqrt(b: SymmetricMatrix) -> SymmetricMatrix:
-    """PSD square root; eigenvalues slightly below zero are clamped.
+def ensure_psd(b: SymmetricMatrix) -> np.ndarray:
+    """Check PSD-ness of ``b``; returns an n x r factor G with B = G G^T.
 
-    The clamping floor is -1e-10 * max(1, ||B||_F); anything below it raises
-    NotPSDError.
+    An eigenvalue below -1e-10 * max(1, ||B||_F) raises NotPSDError.  G keeps
+    one column sqrt(beta) * v per eigenpair (beta, v) with beta above
+    1e-10 * ||B||_F, so r is the numerical rank of B and a nonzero B never
+    loses its whole range.
     """
     d = eigh(b)
-    floor = -PSD_FLOOR_RTOL * max(1.0, frobenius(b))
     min_eig = float(d.eigenvalues[0])
-    if min_eig < floor:
+    if min_eig < -PSD_FLOOR_RTOL * max(1.0, frobenius(b)):
         raise NotPSDError(min_eig)
-    clamped = np.maximum(d.eigenvalues, 0.0)
-    root = (d.frame * np.sqrt(clamped)) @ d.frame.T
-    return SymmetricMatrix(0.5 * (root + root.T))
-
-
-def ensure_psd(b: SymmetricMatrix) -> float:
-    """Check PSD-ness of ``b``; returns its smallest eigenvalue."""
-    d = eigh(b)
-    floor = -PSD_FLOOR_RTOL * max(1.0, frobenius(b))
-    min_eig = float(d.eigenvalues[0])
-    if min_eig < floor:
-        raise NotPSDError(min_eig)
-    return min_eig
+    keep = d.eigenvalues > PSD_FLOOR_RTOL * frobenius(b)
+    return d.frame[:, keep] * np.sqrt(d.eigenvalues[keep])
 
 
 def cluster_points(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -248,26 +224,22 @@ def cluster_points(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.asarray(g, dtype=int) for g in groups]
 
 
+def gaps_between(points) -> list[SpectralGap]:
+    """Two unbounded rays plus one bounded gap per consecutive pair of
+    ascending, distinct ``points``."""
+    points = [float(x) for x in points]
+    out = [SpectralGap(-math.inf, points[0])]
+    for lo, hi in zip(points, points[1:]):
+        out.append(SpectralGap(lo, hi))
+    out.append(SpectralGap(points[-1], math.inf))
+    return out
+
+
 def gaps(d: SpectralDecomposition, cluster_tol: float | None = None) -> list[SpectralGap]:
-    """Spectral gaps of A: two unbounded rays plus one bounded gap per
-    consecutive pair of distinct (clustered) eigenvalues."""
+    """Spectral gaps of A: the gaps between its distinct (clustered) eigenvalues."""
     if cluster_tol is None:
         cluster_tol = CLUSTER_RTOL * d.source_scale
     if cluster_tol <= 0.0:
         raise ValueError("cluster_tol must be positive")
     groups = cluster_points(d.eigenvalues, cluster_tol)
-    reps = [float(np.mean(d.eigenvalues[g])) for g in groups]
-    out = [SpectralGap(-math.inf, reps[0])]
-    for lo, hi in zip(reps, reps[1:]):
-        out.append(SpectralGap(lo, hi))
-    out.append(SpectralGap(reps[-1], math.inf))
-    return out
-
-
-def clustered_eigenvalues(
-    d: SpectralDecomposition, cluster_tol: float | None = None
-) -> np.ndarray:
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_RTOL * d.source_scale
-    groups = cluster_points(d.eigenvalues, cluster_tol)
-    return np.array([float(np.mean(d.eigenvalues[g])) for g in groups])
+    return gaps_between(np.mean(d.eigenvalues[g]) for g in groups)

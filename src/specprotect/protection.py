@@ -1,13 +1,24 @@
-"""Protection criterion and its cross-checks.
+"""Protection criterion and its cross-checks, all on one compressed resolvent.
 
 A real lam is *protected* for a pair (A, B) -- A symmetric, B PSD and nonzero
 -- when lam stays in the resolvent set of A + tB for every real t.  This is
 equivalent to lam lying in a spectral gap of A with B (A - lam)^{-1} B = 0.
-This module computes the (relative) residual of that condition, enumerates all
-protected points gap by gap via a Herglotz probe, and provides the equivalent
-characterizations used as cross-checks: the explicit shifted inverse formula,
-nilpotency of the resolvent-perturbation product, the pseudo-resolvent
-identity, the two-sided distance bounds, and eigenvalue-flow sampling.
+
+A ``Pencil`` validates B once, factors it as B = G G^T (rank r) and decomposes
+A = V Lambda V^T once.  With C = V^T G, every criterion is a few lines on the
+r x r compressed resolvent F(lam) = G^T (A - lam)^{-1} G = C^T (Lambda - lam)^{-1} C,
+because B (A - lam)^{-1} B = G F(lam) G^T and range B = range G:
+
+* the residual of F(lam) = 0, and the protected set (one root of the scalar
+  Herglotz function tr F per spectral gap, certified by the residual);
+* nilpotency: ((A - lam)^{-1} B)^k = (A - lam)^{-1} G F^{k-1} G^T;
+* the pseudo-resolvent identity and the explicit shifted inverse formula;
+* the two-sided distance bounds;
+* the pencil roots: det(A - lam - mu B) = det(A - lam) det(I - mu F), so the
+  finite roots are 1/nu over the nonzero eigenvalues nu of F.
+
+Eigenvalue-flow sampling and the brute-force flow oracle work on (A, B)
+directly and stay independent of the kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePerturbationError, NotProtectedError
-from .herglotz import HerglotzScalar, gap_root, herglotz_from
+from .herglotz import gap_root, herglotz_from
 from .linalg import (
     POLE_RTOL,
     SpectralDecomposition,
@@ -29,13 +40,33 @@ from .linalg import (
     ensure_psd,
     frobenius,
     gaps,
-    operator_norm,
+    resolvent_diagonal,
     resolvent_matrix,
 )
 
 DEFAULT_TOL = 1e-8
 ZERO_B_RTOL = 1e-12
 UNRESOLVABLE_GAP_RTOL = 1e-12
+
+
+class Pencil:
+    """A validated pair (A, B) with A decomposed and B factored, once.
+
+    Raises DegeneratePerturbationError when ||B||_F <= 1e-12 * max(1, ||A||_F)
+    and NotPSDError when B is not PSD.  Holds ``a``, ``b``, ``dec`` (the
+    eigendecomposition of A), ``g`` (n x r, B = G G^T) and ``c`` = frame^T G.
+    """
+
+    __slots__ = ("a", "b", "dec", "g", "c")
+
+    def __init__(self, a: SymmetricMatrix, b: SymmetricMatrix):
+        if frobenius(b) <= ZERO_B_RTOL * max(1.0, frobenius(a)):
+            raise DegeneratePerturbationError()
+        self.a = a
+        self.b = b
+        self.g = ensure_psd(b)
+        self.dec: SpectralDecomposition = eigh(a)
+        self.c = self.dec.frame.T @ self.g
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,7 +78,7 @@ class ProtectedPoint:
 
 @dataclasses.dataclass(frozen=True)
 class GapDiagnostic:
-    """Per-bounded-gap outcome of the probe search."""
+    """Per-bounded-gap outcome of the root search."""
 
     gap: SpectralGap
     status: str                  # protected | no-root | rejected | unresolvable
@@ -60,7 +91,6 @@ class ProtectionReport:
     protected_points: list[ProtectedPoint]
     gap_diagnostics: list[GapDiagnostic]
     tol: float
-    probe_index: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,175 +112,152 @@ class DistanceBounds(NamedTuple):
     actual: float
 
 
-def _check_nonzero_psd(a: SymmetricMatrix, b: SymmetricMatrix) -> None:
-    if frobenius(b) <= ZERO_B_RTOL * max(1.0, frobenius(a)):
-        raise DegeneratePerturbationError()
-    ensure_psd(b)
+def _scaled(p: Pencil, lam: float) -> np.ndarray:
+    """(Lambda - lam)^{-1} C; raises PoleError when lam lies on the spectrum of A."""
+    return resolvent_diagonal(p.dec, lam)[:, None] * p.c
 
 
-def protection_residual(
-    a: SymmetricMatrix,
-    b: SymmetricMatrix,
-    lam: float,
-    dec: SpectralDecomposition | None = None,
-) -> float:
-    """Dimensionless residual of the condition B (A - lam)^{-1} B = 0.
+def compressed_resolvent(p: Pencil, lam: float) -> np.ndarray:
+    """F(lam) = G^T (A - lam)^{-1} G = C^T (Lambda - lam)^{-1} C, in O(n r^2)."""
+    return p.c.T @ _scaled(p, lam)
+
+
+def _resolvent_times_g(p: Pencil, lam: float) -> np.ndarray:
+    """(A - lam)^{-1} G = V (Lambda - lam)^{-1} C, an n x r matrix."""
+    return p.dec.frame @ _scaled(p, lam)
+
+
+def protection_residual(p: Pencil, lam: float) -> float:
+    """Dimensionless residual of the condition B (A - lam)^{-1} B = G F G^T = 0.
 
     Normalized by ||B||_F^2 / dist(lam, spec A) so that the value is invariant
     under joint rescaling of A and B; exactly zero iff the product vanishes.
     """
-    if dec is None:
-        dec = eigh(a)
-    res = resolvent_matrix(dec, lam)  # raises PoleError inside the spectrum
-    numerator = float(np.linalg.norm(b.mat @ res @ b.mat))
-    dist = dist_to_spectrum(dec, lam)
-    denominator = max(1e-300, frobenius(b) ** 2 / dist)
-    return numerator / denominator
+    f = compressed_resolvent(p, lam)  # raises PoleError inside the spectrum
+    numerator = float(np.linalg.norm(p.g @ f @ p.g.T))
+    return numerator * dist_to_spectrum(p.dec, lam) / frobenius(p.b) ** 2
 
 
-def is_protected(
-    a: SymmetricMatrix,
-    b: SymmetricMatrix,
-    lam: float,
-    tol: float = DEFAULT_TOL,
-    dec: SpectralDecomposition | None = None,
-) -> ProtectionVerdict:
+def is_protected(p: Pencil, lam: float, tol: float = DEFAULT_TOL) -> ProtectionVerdict:
     """Certify lam in rho(A + tB) for all real t.
 
     True iff lam lies in a spectral gap of A and the protection residual is
-    at most ``tol``.  B must be PSD and non-zero (a zero B makes every point
-    off spec(A) trivially protected and is rejected).
+    at most ``tol``.
     """
-    _check_nonzero_psd(a, b)
-    if dec is None:
-        dec = eigh(a)
-    if dist_to_spectrum(dec, lam) <= POLE_RTOL * dec.source_scale:
+    if dist_to_spectrum(p.dec, lam) <= POLE_RTOL * p.dec.source_scale:
         return ProtectionVerdict(False, float("inf"))
-    residual = protection_residual(a, b, lam, dec=dec)
+    residual = protection_residual(p, lam)
     return ProtectionVerdict(residual <= tol, residual)
 
 
-def protected_set(
-    a: SymmetricMatrix, b: SymmetricMatrix, tol: float = DEFAULT_TOL
-) -> ProtectionReport:
+def protected_set(p: Pencil, tol: float = DEFAULT_TOL) -> ProtectionReport:
     """Enumerate all protected points of (A, B).
 
-    Per bounded gap of A: probe with y = B e_i* (i* the largest column of B),
-    isolate the unique root of <y, (A - lam)^{-1} y> in the gap, and certify
-    it with the full-matrix residual.  Any protected point must be that root:
-    protection forces every diagonal resolvent element of the form
-    <B v, (A - lam)^{-1} B v> to vanish, and each such element is strictly
-    increasing across the gap.
+    Per bounded gap of A: isolate the unique root of the Herglotz function
+    tr F(lam) = sum_k ||C_k||^2 / (mu_k - lam) in the gap, and certify it with
+    the residual.  Any protected point must be that root: protection forces
+    F(lam) = 0, hence tr F(lam) = 0, and tr F is strictly increasing across
+    the gap.
     """
-    _check_nonzero_psd(a, b)
-    dec = eigh(a)
-    column_norms = np.linalg.norm(b.mat, axis=0)
-    probe_index = int(np.argmax(column_norms))
-    y = b.mat[:, probe_index]
-    h = herglotz_from(dec, y)
+    h = herglotz_from(p.dec, p.g)
     points: list[ProtectedPoint] = []
     diagnostics: list[GapDiagnostic] = []
-    for gap in gaps(dec):
+    for gap in gaps(p.dec):
         if not gap.bounded:
             continue
-        if gap.width <= UNRESOLVABLE_GAP_RTOL * dec.source_scale:
+        if gap.width <= UNRESOLVABLE_GAP_RTOL * p.dec.source_scale:
             diagnostics.append(GapDiagnostic(gap, "unresolvable"))
             continue
         root = gap_root(h, gap)
         if root is None:
             diagnostics.append(GapDiagnostic(gap, "no-root"))
             continue
-        residual = protection_residual(a, b, root, dec=dec)
+        residual = protection_residual(p, root)
         if residual <= tol:
             points.append(ProtectedPoint(root, residual, gap))
             diagnostics.append(GapDiagnostic(gap, "protected", root, residual))
         else:
             diagnostics.append(GapDiagnostic(gap, "rejected", root, residual))
-    return ProtectionReport(points, diagnostics, tol, probe_index)
+    return ProtectionReport(points, diagnostics, tol)
 
 
 def shifted_inverse_formula(
-    a: SymmetricMatrix, b: SymmetricMatrix, lam: float, t: float
+    p: Pencil, lam: float, t: float
 ) -> tuple[SymmetricMatrix, float]:
     """Candidate inverse M = R - t R B R for (A + tB - lam), with its defect.
 
-    R = (A - lam)^{-1}.  The defect ||(A + tB - lam) M - I||_F is at the
-    round-off level whenever lam is protected and grows large otherwise.
+    R = (A - lam)^{-1}, so R B R = (R G)(R G)^T.  The defect
+    ||(A + tB - lam) M - I||_F = t^2 ||B R B R||_F = t^2 ||G F (R G)^T||_F is
+    at the round-off level whenever lam is protected and grows large otherwise.
     """
-    dec = eigh(a)
-    res = resolvent_matrix(dec, lam)
-    m = res - t * (res @ b.mat @ res)
+    rg = _resolvent_times_g(p, lam)
+    m = resolvent_matrix(p.dec, lam) - t * (rg @ rg.T)
     m = 0.5 * (m + m.T)
-    shifted = a.mat + t * b.mat - lam * np.eye(a.n)
-    defect = float(np.linalg.norm(shifted @ m - np.eye(a.n)))
+    defect = t * t * float(np.linalg.norm(p.g @ compressed_resolvent(p, lam) @ rg.T))
     return SymmetricMatrix(m), defect
 
 
-def nilpotency_index(
-    a: SymmetricMatrix, b: SymmetricMatrix, lam: float
-) -> int | None:
-    """Smallest k <= n with ((A - lam)^{-1} B)^k vanishing, else None.
+def nilpotency_index(p: Pencil, lam: float) -> int | None:
+    """2 when N = (A - lam)^{-1} B squares to zero, else None.
 
-    Vanishing is judged relative to ||N||_F^k.  Index 1 occurs only for
-    B = 0; index 2 exactly at protected shifts with B != 0.
+    N^2 = (A - lam)^{-1} G F G^T vanishes when ||N^2||_F <= 1e-10 ||N||_F^2.
+    F is symmetric, so a nilpotent F is zero: no higher index can occur, and
+    index 1 would need B = 0, which the Pencil rejects.
     """
-    dec = eigh(a)
-    nmat = resolvent_matrix(dec, lam) @ b.mat
-    base = float(np.linalg.norm(nmat))
-    power = np.eye(a.n)
-    for k in range(1, a.n + 1):
-        power = power @ nmat
-        if float(np.linalg.norm(power)) <= 1e-10 * base**k:
-            return k
-    return None
+    rg = _resolvent_times_g(p, lam)
+    base = float(np.linalg.norm(rg @ p.g.T))
+    square = float(np.linalg.norm(rg @ compressed_resolvent(p, lam) @ p.g.T))
+    return 2 if square <= 1e-10 * base**2 else None
 
 
-def pseudo_resolvent_defect(
-    a: SymmetricMatrix,
-    b: SymmetricMatrix,
-    lam: float,
-    z: float,
-    w: float,
-) -> float:
+def pseudo_resolvent_defect(p: Pencil, lam: float, z: float, w: float) -> float:
     """Defect of the resolvent identity for R(s) = (R_0 - s R_0 B R_0) B.
 
     With R_0 = (A - lam)^{-1}, the family G(s) = (A - lam + sB)^{-1} B obeys
     G(z) - G(w) = (w - z) G(z) G(w); at protected shifts R(s) equals G(s), so
-    ||R(z) - R(w) - (w - z) R(z) R(w)||_F vanishes for all z, w.
+    ||R(z) - R(w) - (w - z) R(z) R(w)||_F vanishes for all z, w.  With
+    N = R_0 B the defect is |w - z| ||(z + w) N^3 - z w N^4||_F, and
+    N^k = R_0 G F^{k-1} G^T.
     """
-    dec = eigh(a)
-    res = resolvent_matrix(dec, lam)
-    rbr = res @ b.mat @ res
-
-    def family(s: float) -> np.ndarray:
-        return (res - s * rbr) @ b.mat
-
-    rz = family(z)
-    rw = family(w)
-    return float(np.linalg.norm(rz - rw - (w - z) * (rz @ rw)))
+    f = compressed_resolvent(p, lam)
+    f2 = f @ f
+    core = (z + w) * f2 - z * w * (f2 @ f)
+    return abs(w - z) * float(np.linalg.norm(_resolvent_times_g(p, lam) @ core @ p.g.T))
 
 
 def distance_bounds(
-    a: SymmetricMatrix, b: SymmetricMatrix, t: float, tol: float = DEFAULT_TOL
+    p: Pencil, lam: float, t: float, tol: float = DEFAULT_TOL
 ) -> DistanceBounds:
-    """Two-sided bounds on dist(0, spec(A + tB)) at a protected origin.
+    """Two-sided bounds on dist(lam, spec(A + tB)) at a protected lam.
 
-    lower = 1 / (|t| nu + eta) with nu = ||A^{-1} B A^{-1}||_2 and
-    eta = ||A^{-1}||_2; upper = 1 / (|t| nu - eta) once |t| nu > eta.
-    Requires 0 to be protected for (A, B).
+    With R = (A - lam)^{-1}: lower = 1 / (|t| nu + eta), where
+    nu = ||R B R||_2 = ||(Lambda - lam)^{-1} C||_2^2 and
+    eta = ||R||_2 = 1 / dist(lam, spec A);
+    upper = 1 / (|t| nu - eta) once |t| nu > eta.  ``actual`` is measured
+    from an eigendecomposition of A + tB.  Requires lam to be protected.
     """
-    verdict = is_protected(a, b, 0.0, tol=tol)
+    verdict = is_protected(p, lam, tol=tol)
     if not verdict.protected:
-        raise NotProtectedError(0.0, verdict.residual)
-    dec = eigh(a)
-    ainv = resolvent_matrix(dec, 0.0)
-    nu = operator_norm(SymmetricMatrix(ainv @ b.mat @ ainv))
-    eta = 1.0 / dist_to_spectrum(dec, 0.0)
+        raise NotProtectedError(lam, verdict.residual)
+    nu = float(np.linalg.norm(_scaled(p, lam), 2)) ** 2
+    eta = 1.0 / dist_to_spectrum(p.dec, lam)
     lower = 1.0 / (abs(t) * nu + eta)
     upper = 1.0 / (abs(t) * nu - eta) if abs(t) * nu > eta else None
-    shifted = SymmetricMatrix(a.mat + t * b.mat)
-    actual = dist_to_spectrum(eigh(shifted), 0.0)
+    actual = dist_to_spectrum(eigh(SymmetricMatrix(p.a.mat + t * p.b.mat)), lam)
     return DistanceBounds(lower, upper, actual)
+
+
+def pencil_roots(p: Pencil, lam: float, max_abs: float = 1e6) -> list[float]:
+    """Real roots mu of det(A - lam - mu B) with |mu| <= ``max_abs``, ascending.
+
+    det(A - lam - mu B) = det(A - lam) det(I - mu F(lam)), so the roots are
+    1/nu over the eigenvalues nu of the symmetric F(lam); the spectrum of
+    A + tB contains lam exactly at t = -mu.  Raises PoleError when lam lies on
+    the spectrum of A.
+    """
+    nu = np.linalg.eigvalsh(compressed_resolvent(p, lam))
+    nu = nu[np.abs(nu) * max_abs >= 1.0]
+    return sorted(float(x) for x in 1.0 / nu)
 
 
 def spectral_flow(a: SymmetricMatrix, b: SymmetricMatrix, t_grid) -> FlowSample:

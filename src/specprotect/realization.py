@@ -11,11 +11,13 @@ Two routes:
 * the *pole* construction: a diagonal A with prescribed poles and a rank-one
   projection B whose vector has all entries non-zero; the protected set is
   then the root set of the associated pole/weight function, one point strictly
-  inside each bounded gap.
+  inside each bounded gap, found and certified by ``protected_set``.
 
 The solve-for-t formula comes from the Schur-complement determinant identity
 det(A + tB - lam) = det(K - lam) * ((t - lam) - v^T (K - lam)^{-1} v), which
-is affine in t for the rank-one perturbation used here.
+is affine in t for the rank-one perturbation used here.  In the terms of
+``protection``, B = e e^T has the factor G = e and t* = -1 / F(lam): the single
+pencil root of the compressed resolvent F(lam) = e^T (A - lam)^{-1} e.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import dataclasses
 import numpy as np
 
 from .errors import PoleError
-from .herglotz import HerglotzScalar, gap_root
 from .linalg import SymmetricMatrix
-from .protection import DEFAULT_TOL, protection_residual
+from .protection import DEFAULT_TOL, Pencil, protected_set
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,7 +107,7 @@ def realize_via_poles(mu, y=None, tol: float = DEFAULT_TOL) -> PolePair:
 
     Protected points are the roots of sum_k y_k^2 / (mu_k - lam): exactly one
     strictly inside each bounded gap between consecutive poles.  Each root is
-    re-certified with the full-matrix residual before being reported.
+    certified by ``protected_set`` before being reported.
     """
     mu = np.sort(np.asarray(mu, dtype=float))
     m = mu.size
@@ -125,106 +126,10 @@ def realize_via_poles(mu, y=None, tol: float = DEFAULT_TOL) -> PolePair:
         yv = yv / np.linalg.norm(yv)
     a = SymmetricMatrix(np.diag(mu))
     b = SymmetricMatrix(np.outer(yv, yv))
-    h = HerglotzScalar(mu, yv**2)
-    roots = []
-    residuals = []
-    for gap in h.gaps():
-        if not gap.bounded:
-            continue
-        root = gap_root(h, gap)
-        if root is None:
-            # All weights are positive, so every bounded gap has a root.
-            raise AssertionError(f"missing root in gap {gap}")
-        res = protection_residual(a, b, root)
-        if res > tol:
-            raise AssertionError(
-                f"root {root} failed certification (residual {res:.3e})"
-            )
-        roots.append(root)
-        residuals.append(res)
-    return PolePair(mu, yv, a, b, np.asarray(roots), np.asarray(residuals))
-
-
-def _det_sign(a: np.ndarray) -> float:
-    sign, _ = np.linalg.slogdet(a)
-    return float(sign)
-
-
-def pencil_spectrum(
-    a: SymmetricMatrix,
-    b: SymmetricMatrix,
-    search: tuple[float, float],
-    resolution: int = 512,
-) -> list[float]:
-    """Real pencil spectrum {mu : det(A - mu B) = 0} inside ``search``.
-
-    Scans det signs on a uniform grid and bisects every sign change to 1e-12
-    relative.  Only sign-change roots are found; tangential even-multiplicity
-    roots can be missed (documented limitation).  On the rank-one pairs built
-    here the determinant is affine in mu, so sign-change detection is exact up
-    to grid resolution.
-    """
-    lo, hi = float(search[0]), float(search[1])
-    if not (lo < hi):
-        raise ValueError("search interval must be non-degenerate")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    grid = np.linspace(lo, hi, resolution)
-    signs = np.array([_det_sign(a.mat - mu * b.mat) for mu in grid])
-    roots: list[float] = []
-    for i, mu in enumerate(grid):
-        if signs[i] == 0.0:
-            roots.append(float(mu))
-    for i in range(resolution - 1):
-        if signs[i] * signs[i + 1] < 0.0:
-            x0, x1 = float(grid[i]), float(grid[i + 1])
-            s0 = signs[i]
-            tol = 1e-12 * max(1.0, abs(x0), abs(x1))
-            while x1 - x0 > tol:
-                mid = 0.5 * (x0 + x1)
-                smid = _det_sign(a.mat - mid * b.mat)
-                if smid == 0.0:
-                    x0 = x1 = mid
-                    break
-                if smid == s0:
-                    x0 = mid
-                else:
-                    x1 = mid
-            roots.append(0.5 * (x0 + x1))
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-10 * max(1.0, abs(r)):
-            deduped.append(r)
-    return deduped
-
-
-def pencil_spectrum_log_scan(
-    a: SymmetricMatrix,
-    b: SymmetricMatrix,
-    max_abs: float = 1e6,
-    inner: float = 1e-2,
-    resolution_per_chunk: int = 64,
-) -> list[float]:
-    """Pencil spectrum over [-max_abs, max_abs] in log-sized chunks.
-
-    A uniform grid over a huge interval misses O(1)-sized features; scanning
-    decade by decade (plus a small central interval) keeps the grid locally
-    proportionate.
-    """
-    chunks: list[tuple[float, float]] = [(-inner, inner)]
-    lo = inner
-    while lo < max_abs:
-        hi = min(lo * 10.0, max_abs)
-        chunks.append((lo, hi))
-        chunks.append((-hi, -lo))
-        lo = hi
-    roots: list[float] = []
-    for interval in chunks:
-        roots.extend(pencil_spectrum(a, b, interval, resolution_per_chunk))
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-10 * max(1.0, abs(r)):
-            deduped.append(r)
-    return deduped
+    report = protected_set(Pencil(a, b), tol=tol)
+    if len(report.protected_points) != m - 1:
+        # All weights are positive, so every bounded gap has a certified root.
+        raise AssertionError(f"gaps without a certified root: {report.gap_diagnostics}")
+    roots = np.array([pt.value for pt in report.protected_points])
+    residuals = np.array([pt.residual for pt in report.protected_points])
+    return PolePair(mu, yv, a, b, roots, residuals)

@@ -33,6 +33,12 @@ def random_psd(rng, n, rank=None):
     return SymmetricMatrix((g @ g.T) / n)
 
 
+def dense_resolvent(m, lam):
+    """(M - lam)^{-1} built from numpy's eigh, independent of the library."""
+    w, v = np.linalg.eigh(m.mat)
+    return (v / (w - lam)) @ v.T
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from specprotect import (
+    Pencil,
     SymmetricMatrix,
     brute_force_unprotected,
     distance_bounds,
@@ -48,7 +49,7 @@ def _passed(k, message):
 
 def test_criterion_01_example_golden_suite():
     a, b = _example_pair()
-    report = protected_set(a, b)
+    report = protected_set(Pencil(a, b))
     assert len(report.protected_points) == 1
     point = report.protected_points[0]
     assert abs(point.value) <= 1e-12
@@ -66,7 +67,7 @@ def test_criterion_01_example_golden_suite():
 def test_criterion_02_distance_sandwich():
     a, b = _example_pair()
     for t in (2.0, 10.0, 1e3):
-        lower, upper, actual = distance_bounds(a, b, t)
+        lower, upper, actual = distance_bounds(Pencil(a, b), 0.0, t)
         assert lower == pytest.approx(1.0 / (t + 1), rel=1e-12)
         assert upper == pytest.approx(1.0 / (t - 1), rel=1e-12)
         assert 1.0 / (t + 1) <= actual <= 1.0 / (t - 1)
@@ -115,11 +116,12 @@ def _unprotected_instances(rng, count):
 
 
 def _indicators(a, b, lam):
-    verdict = is_protected(a, b, lam, tol=TOL)
-    nil = nilpotency_index(a, b, lam)
-    pseudo = max(pseudo_resolvent_defect(a, b, lam, z, w) for z, w in PSEUDO_PAIRS)
+    p = Pencil(a, b)
+    verdict = is_protected(p, lam, tol=TOL)
+    nil = nilpotency_index(p, lam)
+    pseudo = max(pseudo_resolvent_defect(p, lam, z, w) for z, w in PSEUDO_PAIRS)
     inverse_ok = all(
-        shifted_inverse_formula(a, b, lam, t)[1] <= TOL * (1 + abs(t))
+        shifted_inverse_formula(p, lam, t)[1] <= TOL * (1 + abs(t))
         for t in INVERSE_T
     )
     return {
@@ -154,7 +156,7 @@ def test_criterion_04_realization_round_trip():
     rng = np.random.default_rng(404)
     grid = standard_t_grid()
     for points, pair in _random_realized_pairs(rng, 50):
-        report = protected_set(pair.a, pair.b, tol=TOL)
+        report = protected_set(Pencil(pair.a, pair.b), tol=TOL)
         values = np.array([p.value for p in report.protected_points])
         scale = max(1.0, frobenius(pair.a))
         assert len(values) == len(points)
@@ -218,7 +220,7 @@ def test_criterion_07_indefinite_negative_control(tmp_path):
 
 
 def test_criterion_08_herglotz_machinery():
-    from specprotect import HerglotzScalar, gap_root
+    from specprotect import HerglotzScalar, gap_root, gaps_between
 
     rng = np.random.default_rng(808)
     derivative_checks = 0
@@ -229,7 +231,7 @@ def test_criterion_08_herglotz_machinery():
         if np.sum(weights) == 0:
             continue
         h = HerglotzScalar(poles, weights)
-        all_gaps = h.gaps()
+        all_gaps = gaps_between(h.poles)
         bounded = [g for g in all_gaps if g.bounded]
         gap = bounded[int(rng.integers(len(bounded)))]
         lam = rng.uniform(gap.lower + 0.2 * gap.width, gap.upper - 0.2 * gap.width)

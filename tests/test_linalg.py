@@ -13,10 +13,9 @@ from specprotect import (
     eigh,
     frobenius,
     gaps,
-    operator_norm,
-    psd_sqrt,
-    resolvent_apply,
+    resolvent_matrix,
 )
+from specprotect.linalg import ensure_psd
 from conftest import random_orthogonal, random_symmetric
 
 
@@ -68,61 +67,71 @@ def test_eigh_sign_convention():
 
 def test_resolvent_apply_diagonal():
     d = eigh(SymmetricMatrix.diag([1.0, -1.0]))
-    assert np.allclose(resolvent_apply(d, 0.0, [1.0, 1.0]), [1.0, -1.0], atol=1e-14)
-    assert np.allclose(resolvent_apply(d, 2.0, [1.0, 0.0]), [-1.0, 0.0], atol=1e-14)
+    assert np.allclose(resolvent_matrix(d, 0.0) @ [1.0, 1.0], [1.0, -1.0], atol=1e-14)
+    assert np.allclose(resolvent_matrix(d, 2.0) @ [1.0, 0.0], [-1.0, 0.0], atol=1e-14)
 
 
 def test_resolvent_apply_dense():
     d = eigh(SymmetricMatrix([[2.0, 1.0], [1.0, 0.0]]))
     # solve [[2,1],[1,0]] x = (0,1): x = (1, -2)
-    assert np.allclose(resolvent_apply(d, 0.0, [0.0, 1.0]), [1.0, -2.0], atol=1e-12)
+    assert np.allclose(resolvent_matrix(d, 0.0) @ [0.0, 1.0], [1.0, -2.0], atol=1e-12)
 
 
 def test_resolvent_pole_error():
     d = eigh(SymmetricMatrix.diag([1.0, -1.0]))
     with pytest.raises(PoleError) as info:
-        resolvent_apply(d, 1.0, [1.0, 0.0])
+        resolvent_matrix(d, 1.0)
     assert info.value.eigenvalue == pytest.approx(1.0)
 
 
+# ensure_psd returns the PSD square root in factored form: B = G G^T, with
+# one column per eigenvalue above the floor.
+
+
 def test_psd_sqrt_identity():
-    s = psd_sqrt(SymmetricMatrix(np.eye(3)))
-    assert np.allclose(s.mat, np.eye(3), atol=1e-12)
+    g = ensure_psd(SymmetricMatrix(np.eye(3)))
+    assert g.shape == (3, 3)
+    assert np.allclose(g @ g.T, np.eye(3), atol=1e-12)
 
 
 def test_psd_sqrt_projection_fixed_point(example_pair):
     _, b = example_pair
-    assert np.allclose(psd_sqrt(b).mat, b.mat, atol=1e-12)
+    g = ensure_psd(b)
+    assert g.shape == (2, 1)
+    assert np.allclose(g @ g.T, b.mat, atol=1e-12)
 
 
 def test_psd_sqrt_diagonal():
-    s = psd_sqrt(SymmetricMatrix.diag([4.0, 0.0]))
-    assert np.allclose(s.mat, np.diag([2.0, 0.0]), atol=1e-12)
+    g = ensure_psd(SymmetricMatrix.diag([4.0, 0.0]))
+    assert np.allclose(np.abs(g), [[2.0], [0.0]], atol=1e-12)
 
 
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSDError):
-        psd_sqrt(SymmetricMatrix.diag([1.0, -1.0]))
+        ensure_psd(SymmetricMatrix.diag([1.0, -1.0]))
 
 
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(11)
     g = rng.standard_normal((6, 3))
     b = SymmetricMatrix(g @ g.T)
-    s = psd_sqrt(b)
-    assert np.linalg.norm(s.mat @ s.mat - b.mat) <= 1e-9 * max(1.0, frobenius(b))
+    factor = ensure_psd(b)
+    assert factor.shape == (6, 3)
+    assert np.linalg.norm(factor @ factor.T - b.mat) <= 1e-9 * max(1.0, frobenius(b))
 
 
 def test_psd_sqrt_idempotent_on_random_projection():
     rng = np.random.default_rng(13)
     q = random_orthogonal(rng, 7)[:, :3]
     p = SymmetricMatrix(q @ q.T)
-    assert np.allclose(psd_sqrt(p).mat, p.mat, atol=1e-9)
+    g = ensure_psd(p)
+    assert np.allclose(g.T @ g, np.eye(3), atol=1e-9)
+    assert np.allclose(g @ g.T, p.mat, atol=1e-9)
 
 
 def test_norms_and_distance():
-    assert operator_norm(SymmetricMatrix.diag([1.0, -3.0])) == pytest.approx(3.0)
-    assert operator_norm(SymmetricMatrix(0.5 * np.array([[1, -1], [-1, 1.0]]))) == (
+    assert frobenius(SymmetricMatrix.diag([1.0, -3.0])) == pytest.approx(math.sqrt(10))
+    assert frobenius(SymmetricMatrix(0.5 * np.array([[1, -1], [-1, 1.0]]))) == (
         pytest.approx(1.0)
     )
     d = eigh(SymmetricMatrix.diag([1.0, -1.0]))
@@ -189,6 +198,6 @@ def test_resolvent_residual_property(seed):
     gap = bounded[int(rng.integers(len(bounded)))]
     lam = rng.uniform(gap.lower + 0.25 * gap.width, gap.upper - 0.25 * gap.width)
     y = rng.standard_normal(n)
-    x = resolvent_apply(d, lam, y)
+    x = resolvent_matrix(d, lam) @ y
     residual = np.linalg.norm((m.mat - lam * np.eye(n)) @ x - y)
     assert residual <= 1e-10 * d.source_scale * max(1.0, np.linalg.norm(x))
