@@ -11,7 +11,6 @@ prescribed finite protected set.
 __version__ = "0.1.0"
 
 from .errors import (
-    ConvergenceError,
     DegeneratePerturbationError,
     NotProtectedError,
     NotPSDError,

@@ -153,7 +153,7 @@ def cmd_realize(args) -> int:
         found = np.array([p.value for p in report.protected_points])
         scale = max(1.0, frobenius(pair.a))
         certified = 0
-        for target in np.sort(np.asarray(points)):
+        for target in sorted(points):
             ok = found.size and np.min(np.abs(found - target)) <= 1e-9 * scale
             status = "certified" if ok else "MISSING"
             print(f"point {target!r}: {status}")
@@ -230,9 +230,13 @@ def cmd_verify(args) -> int:
                 bounds_ok = False
         rows.append(("distance_bounds", f"{len(sample)} t values", bounds_ok))
 
+    # The oracle scans A + s B/||B||_F, so its grid and hit window follow the
+    # flow whatever the scale of B; a pencil root mu sits at s = -||B||_F mu.
     roots = pencil_roots(p, lam)
-    candidates = np.unique(np.concatenate([t_grid, -np.asarray(roots)]))
-    never_hit = brute_force_unprotected(p.a, p.b, [lam], candidates, hit_tol=1e-3)
+    b_norm = frobenius(p.b)
+    candidates = np.unique(np.concatenate([t_grid, -b_norm * np.asarray(roots)]))
+    unit_b = SymmetricMatrix(p.b.mat / b_norm)
+    never_hit = brute_force_unprotected(p.a, unit_b, [lam], candidates, hit_tol=1e-3)
     hit = 0 not in never_hit
     rows.append(("flow_oracle_hit", str(hit), hit != expected))
     rows.append(("pencil_roots", str(len(roots)), (len(roots) == 0) == expected))

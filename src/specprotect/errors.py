@@ -5,21 +5,6 @@ class SpecProtectError(Exception):
     """Base class for all library errors."""
 
 
-class ConvergenceError(SpecProtectError):
-    """Eigensolver failed to converge within the sweep cap.
-
-    Carries the remaining off-diagonal Frobenius mass in ``residual``.
-    """
-
-    def __init__(self, residual: float, sweeps: int):
-        self.residual = residual
-        self.sweeps = sweeps
-        super().__init__(
-            f"Jacobi iteration did not converge after {sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
-
-
 class PoleError(SpecProtectError):
     """A shift landed on (or numerically too close to) an eigenvalue."""
 

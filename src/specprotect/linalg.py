@@ -1,10 +1,11 @@
 """Dense real symmetric linear algebra.
 
 Everything the upper layers consume lives here: a validated symmetric matrix
-type, a deterministic Jacobi eigensolver, the resolvent in the eigenbasis, the
-PSD check with its low-rank factor, norms, and spectral-gap extraction.  All
-tolerances are relative to ``source_scale = max(1, ||.||_F)``; absolute
-tolerances are never applied to user data.
+type, a LAPACK eigensolver with a fixed sign convention, the resolvent in the
+eigenbasis, the PSD check with its low-rank factor, norms, and spectral-gap
+extraction.  All tolerances are relative to
+``source_scale = max(1, ||.||_F)``; absolute tolerances are never applied to
+user data.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, NotPSDError, PoleError
+from .errors import NotPSDError, PoleError
 
 # Relative tolerances (see module docstring for the scaling convention).
 SYMMETRY_RTOL = 1e-12
 POLE_RTOL = 1e-12
 PSD_FLOOR_RTOL = 1e-10
-OFFDIAG_RTOL = 1e-14
 CLUSTER_RTOL = 1e-9
-MAX_SWEEPS = 60
 
 
 class SymmetricMatrix:
@@ -105,76 +104,21 @@ def frobenius(m: SymmetricMatrix) -> float:
 
 
 def eigh(a: SymmetricMatrix) -> SpectralDecomposition:
-    """Eigendecomposition by cyclic Jacobi rotations.
+    """Eigendecomposition by LAPACK (``numpy.linalg.eigh``).
 
-    Deterministic: row-major sweep order, ascending eigenvalue sort with a
-    stable tie-break, and the sign of each eigenvector fixed so its first
-    non-negligible component is positive.  Convergence is declared when the
-    off-diagonal Frobenius mass drops below 1e-14 * source_scale; after 60
-    sweeps without convergence a ConvergenceError is raised.
+    Eigenvalues come back ascending.  The sign of each eigenvector is fixed
+    so its first component above 1e-12 * max|column| is positive, which
+    makes the frame deterministic.
     """
-    mat = np.array(a.mat, dtype=float)
-    n = mat.shape[0]
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    frame = np.eye(n)
-    if n > 1:
-        target = OFFDIAG_RTOL * scale
-        # Rotations below this threshold cannot matter for the target and are
-        # skipped; sqrt(2)*n*skip stays below target.
-        skip = 0.1 * target / n
-        converged = False
-        off = 0.0
-        for _sweep in range(MAX_SWEEPS):
-            off = float(np.linalg.norm(mat - np.diag(np.diag(mat))))
-            if off <= target:
-                converged = True
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = mat[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    app = mat[p, p]
-                    aqq = mat[q, q]
-                    theta = (aqq - app) / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.hypot(theta, 1.0)
-                    )
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    cp = mat[:, p].copy()
-                    cq = mat[:, q].copy()
-                    mat[:, p] = c * cp - s * cq
-                    mat[:, q] = s * cp + c * cq
-                    rp = mat[p, :].copy()
-                    rq = mat[q, :].copy()
-                    mat[p, :] = c * rp - s * rq
-                    mat[q, :] = s * rp + c * rq
-                    # Exact zeroing of the target entry reduces round-off.
-                    mat[p, q] = 0.0
-                    mat[q, p] = 0.0
-                    mat[p, p] = app - t * apq
-                    mat[q, q] = aqq + t * apq
-                    vp = frame[:, p].copy()
-                    vq = frame[:, q].copy()
-                    frame[:, p] = c * vp - s * vq
-                    frame[:, q] = s * vp + c * vq
-        if not converged:
-            off = float(np.linalg.norm(mat - np.diag(np.diag(mat))))
-            if off > OFFDIAG_RTOL * scale:
-                raise ConvergenceError(off, MAX_SWEEPS)
-    values = np.diag(mat).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    frame = frame[:, order]
-    for j in range(n):
+    values, frame = np.linalg.eigh(a.mat)
+    for j in range(a.n):
         col = frame[:, j]
         support = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
         if col[support[0]] < 0.0:
             frame[:, j] = -col
     values.setflags(write=False)
     frame.setflags(write=False)
-    return SpectralDecomposition(values, frame, scale)
+    return SpectralDecomposition(values, frame, max(1.0, frobenius(a)))
 
 
 def dist_to_spectrum(d: SpectralDecomposition, lam: float) -> float:

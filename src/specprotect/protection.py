@@ -310,8 +310,9 @@ def brute_force_unprotected(
     a fixed window would report false hits on every protected point once
     |t| is large enough.
 
-    Deliberately independent of the Jacobi path: eigenvalues come from
-    numpy.linalg.eigvalsh.  Intended as a test oracle, not a certificate.
+    Independent of the compressed resolvent and of the Herglotz search: it
+    samples eigenvalues of A + tB with numpy.linalg.eigvalsh, the same LAPACK
+    family as ``eigh``.  Intended as a test oracle, not a certificate.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)

@@ -6,7 +6,7 @@ import pytest
 
 from specprotect.cli import main
 from specprotect.io import read_matrix_file, write_matrix_file
-from specprotect import SymmetricMatrix
+from specprotect import SymmetricMatrix, realize
 
 
 def write_doc(path, doc):
@@ -110,7 +110,9 @@ def test_realize_verify_certifies(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert "3/3 points certified" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "3/3 points certified" in out
+    assert "point -2.0: certified" in out
 
 
 def test_realize_duplicate_points_exit_2(tmp_path):
@@ -197,6 +199,20 @@ def test_verify_inconsistent_tolerance_exit_5(example_files, capsys):
     # disagree and the tool reports the inconsistency
     a, b = example_files
     assert main(["verify", a, b, "--lambda", "0.5", "--tol", "10"]) == 5
+
+
+@pytest.mark.parametrize("b_scale", [1e3, 1e6])
+@pytest.mark.parametrize("lam", [-2.0, 0.5, 3.0, 1.0])
+def test_verify_flow_oracle_independent_of_b_scale(tmp_path, capsys, b_scale, lam):
+    # Protected points of realize([-2, 0.5, 3]) stay protected when B is
+    # scaled; the flow oracle must not report a hit at any scale of B.
+    pair = realize([-2.0, 0.5, 3.0])
+    a, b = str(tmp_path / "A.json"), str(tmp_path / "B.json")
+    write_matrix_file(a, pair.a, label="A")
+    write_matrix_file(b, SymmetricMatrix(b_scale * pair.b.mat), label="B")
+    assert main(["verify", a, b, "--lambda", repr(lam)]) == 0
+    label = "not protected" if lam == 1.0 else "protected"
+    assert f"lambda = {lam!r}: {label} " in capsys.readouterr().out
 
 
 def test_verify_t_grid_grammar(example_files):

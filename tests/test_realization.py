@@ -16,7 +16,7 @@ from specprotect import (
     solve_t,
     standard_t_grid,
 )
-from conftest import dense_resolvent, separated_points
+from conftest import dense_resolvent, random_orthogonal, separated_points
 
 
 def test_realize_single_point_matrices():
@@ -190,3 +190,12 @@ def test_round_trip_property_tight_separation():
         assert len(values) == m
         assert np.max(np.abs(values - points)) <= 1e-9 * scale
         assert all(p.residual <= 1e-8 for p in report.protected_points)
+    # n = 128: 127 prescribed points, the pair rotated out of arrowhead form.
+    points = separated_points(rng, 127, -10.0, 10.0, 1e-3)
+    pair = realize(points, weights=rng.uniform(0.5, 1.5, 127))
+    q = random_orthogonal(rng, 128)
+    a = SymmetricMatrix(q @ pair.a.mat @ q.T)
+    report = protected_set(Pencil(a, SymmetricMatrix(q @ pair.b.mat @ q.T)))
+    values = np.array([p.value for p in report.protected_points])
+    assert len(values) == 127
+    assert np.max(np.abs(values - points)) <= 1e-9 * max(1.0, frobenius(a))
